@@ -348,10 +348,15 @@ TEST(WasteAttribution, ComponentsSumToIssuedMinusHits) {
 
 /// Virtual-clock trace fields must not depend on the worker count: the
 /// kernels are bit-deterministic across workers, and wall time never
-/// feeds the virtual clock. Worker occupancy spans (tracks >=
-/// kWorkerTrackBase) are the one deliberate exception — which pool slot
-/// advances which session is a wall-schedule fact — so they are compared
-/// as a track-agnostic multiset instead of positionally.
+/// feeds the virtual clock. Two things are wall-schedule facts and are
+/// not pinned. Which pool slot advanced which session decides the worker
+/// occupancy spans (tracks >= kWorkerTrackBase), so those are compared as
+/// a track-agnostic multiset. How tracks interleave in the ring varies
+/// with thread interleaving (obs/trace.hpp, Tracer thread-safety note):
+/// sessions advancing concurrently record their tiered-store leaf events
+/// live. So semantic events are compared per track, in emission order,
+/// which is at least as strict as the (track, ts) order the exporter
+/// writes.
 TEST(TraceDeterminism, VirtualClockFieldsIdenticalAcrossWorkerCounts) {
   WorkerGuard worker_guard;
   TracerGuard tracer_guard;
@@ -397,8 +402,17 @@ TEST(TraceDeterminism, VirtualClockFieldsIdenticalAcrossWorkerCounts) {
     }
     return out;
   };
-  const auto [serial_sem, serial_worker] = split_worker_events(serial);
-  const auto [parallel_sem, parallel_worker] = split_worker_events(parallel);
+  auto [serial_sem, serial_worker] = split_worker_events(serial);
+  auto [parallel_sem, parallel_worker] = split_worker_events(parallel);
+
+  // Within one track every event comes from a single thread per tick, so
+  // a stable sort by track keeps each track's emission order and drops
+  // only the cross-track ring interleaving.
+  const auto by_track = [](const Snapshot& a, const Snapshot& b) {
+    return a.track < b.track;
+  };
+  std::stable_sort(serial_sem.begin(), serial_sem.end(), by_track);
+  std::stable_sort(parallel_sem.begin(), parallel_sem.end(), by_track);
 
   ASSERT_EQ(serial_sem.size(), parallel_sem.size());
   for (std::size_t i = 0; i < serial_sem.size(); ++i) {
